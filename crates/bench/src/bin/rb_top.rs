@@ -77,6 +77,8 @@ fn parse_series(body: &str) -> Option<WireSeries> {
                 .map(|d| StageDelta {
                     packets: num(d, "packets"),
                     cycles: num(d, "cycles"),
+                    polls_work: num(d, "polls_work"),
+                    polls_empty: num(d, "polls_empty"),
                 })
                 .collect();
         }

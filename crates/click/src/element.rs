@@ -315,6 +315,17 @@ pub trait Element: Send {
         1
     }
 
+    /// Wake hint: `false` only when the element certainly holds no work
+    /// — a source with nothing left to emit, a queue with nothing to
+    /// pull. The driver puts a task to sleep on `false` and re-asks
+    /// after the element was reachable from outside (see
+    /// `Router::graph_mut`), so a wrong `false` strands packets while a
+    /// spurious `true` only costs one empty poll. The default is the
+    /// safe `true`.
+    fn has_pending(&self) -> bool {
+        true
+    }
+
     /// Reports the stats of a packet arena this element owns, if any.
     ///
     /// Ingress elements that allocate from a [`rb_packet::PacketPool`]

@@ -208,6 +208,10 @@ impl Element for FromDevice {
         true
     }
 
+    fn has_pending(&self) -> bool {
+        self.pending() > 0
+    }
+
     fn pool_stats(&self) -> Option<PoolStats> {
         self.pool.as_ref().map(PacketPool::stats)
     }
@@ -426,8 +430,8 @@ impl Element for ToDevice {
 
     fn run_task(&mut self, _out: &mut Output) -> bool {
         // Pull scheduling is driven by the Router, which knows the graph;
-        // it calls `push` with each pulled frame. `burst` is advertised
-        // through `pull_burst_or`.
+        // it calls `push` with each pulled frame. `burst` is read once,
+        // when the Router is built (`configured_burst`).
         false
     }
 

@@ -131,6 +131,10 @@ impl Element for InfiniteSource {
         true
     }
 
+    fn has_pending(&self) -> bool {
+        self.limit.is_none_or(|limit| self.emitted < limit)
+    }
+
     fn pool_stats(&self) -> Option<PoolStats> {
         self.pool.as_ref().map(PacketPool::stats)
     }
@@ -226,6 +230,10 @@ impl Element for VecSource {
 
     fn is_active(&self) -> bool {
         true
+    }
+
+    fn has_pending(&self) -> bool {
+        !self.packets.is_empty()
     }
 
     fn ledger(&self) -> Option<Ledger> {
@@ -334,6 +342,10 @@ impl Element for SpecSource {
 
     fn is_active(&self) -> bool {
         true
+    }
+
+    fn has_pending(&self) -> bool {
+        self.next < self.specs.len()
     }
 
     fn pool_stats(&self) -> Option<PoolStats> {

@@ -4,9 +4,19 @@
 //! (sources, device drains) are arbitrated by the stride scheduler; push
 //! cascades are routed along edges as [`PacketBatch`]es through an
 //! explicit FIFO work queue (elements never call each other, so there is
-//! no aliasing of `&mut` element state); pull chains are resolved
-//! recursively from the drain back to the nearest queue, a burst at a
-//! time.
+//! no aliasing of `&mut` element state); pull chains are resolved from
+//! the drain back to the nearest queue, a burst at a time.
+//!
+//! Tasks are notifier-driven, as in Click: a task whose quantum finds no
+//! work goes to sleep and costs nothing until work arrives for it. A
+//! drain is woken when a push lands in the terminal pull element (the
+//! queue) of its pull chain; a source is woken when outside code had
+//! `&mut` access to the graph (an `inject` through [`Router::graph_mut`]
+//! or [`Router::element_as_mut`]) and its
+//! [`crate::element::Element::has_pending`] hint reports work. Each
+//! task's facts — drain or source, pull chain, terminal, device burst —
+//! are resolved once in [`Router::new`], so a quantum never walks port
+//! signatures, allocates or downcasts.
 //!
 //! Batching is the paper's `kp` parameter applied to graph dispatch: one
 //! `push_batch` call, one work-queue round-trip and one statistics update
@@ -17,12 +27,12 @@
 //! batched execution produce byte-identical output streams on merge-free
 //! graphs (see the `batch_differential` test).
 
-use crate::element::{Output, PacketBatch};
+use crate::element::{Output, PacketBatch, PortKind};
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::elements::queue::QueueStats;
 use crate::elements::route::LookupIPRoute;
 use crate::elements::sink::{Counter, CounterStats};
-use crate::graph::{ElementId, Graph};
+use crate::graph::{Edge, ElementId, Graph};
 use crate::runtime::stride::StrideScheduler;
 use rb_telemetry::{
     cycles, CoreMetrics, CumulativeTotals, DropCause, EventHarvester, EventKind, EventLog,
@@ -113,10 +123,44 @@ impl RunStats {
 /// Cap on pooled batch buffers; beyond this, excess buffers are freed.
 const BATCH_POOL_LIMIT: usize = 64;
 
+/// One scheduler task's facts, resolved once in [`Router::new`]. The
+/// task's scheduler id is its index in `Router::tasks`.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    /// The active element the task runs.
+    element: ElementId,
+    /// The pull chain a drain task resolves; `None` for sources.
+    drain: Option<Drain>,
+}
+
+/// A drain task's pull chain.
+#[derive(Debug, Clone, Copy)]
+struct Drain {
+    /// `Router::pull_edges[start..end]`: the edge into the drain, then
+    /// the edge into each through-element upstream of it; the last edge
+    /// leaves the terminal pull element.
+    start: usize,
+    end: usize,
+    /// The terminal pull element (a queue): pushes into it wake the
+    /// drain, and its `has_pending` hint says whether to sleep.
+    terminal: ElementId,
+    /// Per-device pull burst override; `None` follows the graph `kp`.
+    burst: Option<usize>,
+}
+
 /// An executable router: a graph plus its task scheduler.
 pub struct Router {
     graph: Graph,
     scheduler: StrideScheduler,
+    /// Scheduler tasks, indexed by scheduler id.
+    tasks: Vec<Task>,
+    /// Every drain's pull chain, back to back (see [`Drain`]).
+    pull_edges: Vec<Edge>,
+    /// `waiters[element]`: drain tasks a push into `element` wakes.
+    waiters: Vec<Vec<usize>>,
+    /// Outside code had `&mut` access to elements since the last
+    /// [`Router::wake_pending`]: sleeping tasks must be re-asked.
+    dirty: bool,
     stats: RunStats,
     /// Dispatch batch size `kp`: max packets per work-queue entry.
     batch_size: usize,
@@ -128,6 +172,12 @@ pub struct Router {
     scratch: Output,
     /// Reused emission collector for task/drain quanta.
     task_out: Output,
+    /// Reused per-port grouping buffer of [`Router::enqueue_emissions`].
+    groups: Vec<(usize, PacketBatch)>,
+    /// Reused collectors for a through-element in a pull chain: its
+    /// emissions, and those that leave the chain.
+    pull_out: Output,
+    pull_side: Output,
     /// This core's telemetry shard (level [`TelemetryLevel::Off`] unless
     /// configured; every record is guarded by one branch on the level).
     metrics: CoreMetrics,
@@ -196,20 +246,41 @@ impl Router {
     /// unconnected.
     pub fn new(graph: Graph) -> Result<Router, crate::GraphError> {
         graph.check_fully_connected()?;
-        let mut scheduler = StrideScheduler::new();
-        for id in graph.active_elements() {
-            scheduler.add(id, graph.element(id).tickets());
-        }
         let n = graph.len();
+        let mut scheduler = StrideScheduler::new();
+        let mut tasks = Vec::new();
+        let mut pull_edges = Vec::new();
+        let mut waiters = vec![Vec::new(); n];
+        for element in graph.active_elements() {
+            let idx = tasks.len();
+            // Every task starts asleep; the first quantum's recheck
+            // (`dirty` starts set) wakes those with pending work.
+            scheduler.add(idx, graph.element(element).tickets());
+            scheduler.sleep(idx);
+            let is_drain = graph.element(element).ports().inputs.first() == Some(&PortKind::Pull);
+            let drain = is_drain.then(|| {
+                let drain = Self::resolve_chain(&graph, element, &mut pull_edges);
+                waiters[drain.terminal].push(idx);
+                drain
+            });
+            tasks.push(Task { element, drain });
+        }
         Ok(Router {
             graph,
             scheduler,
+            tasks,
+            pull_edges,
+            waiters,
+            dirty: true,
             stats: RunStats::default(),
             batch_size: Self::DEFAULT_BATCH_SIZE,
             work: VecDeque::new(),
             pool: Vec::new(),
             scratch: Output::new(),
             task_out: Output::new(),
+            groups: Vec::new(),
+            pull_out: Output::new(),
+            pull_side: Output::new(),
             metrics: CoreMetrics::new(TelemetryLevel::Off, n),
             tracer: Tracer::off(),
             trace_ids: Vec::new(),
@@ -218,6 +289,39 @@ impl Router {
             events: None,
             episodes: EpisodeState::default(),
         })
+    }
+
+    /// Walks the pull chain feeding drain `element` back to its terminal
+    /// pull element, appending its edges to `edges`. A queue-like element
+    /// (no pull input) terminates the chain; agnostic through-elements
+    /// (e.g. `Counter` in a pull path) continue it through input 0.
+    fn resolve_chain(graph: &Graph, element: ElementId, edges: &mut Vec<Edge>) -> Drain {
+        let start = edges.len();
+        let mut at = element;
+        let terminal = loop {
+            let Some(edge) = graph.edges_into(at, 0).first().copied() else {
+                break at;
+            };
+            edges.push(edge);
+            let ports = graph.element(edge.from).ports();
+            let through = ports.inputs.iter().any(|k| *k != PortKind::Push);
+            // A chain longer than the graph is a pull cycle: stop there.
+            if !through || edges.len() - start > graph.len() {
+                break edge.from;
+            }
+            at = edge.from;
+        };
+        let burst = graph
+            .element(element)
+            .as_any()
+            .downcast_ref::<ToDevice>()
+            .and_then(ToDevice::configured_burst);
+        Drain {
+            start,
+            end: edges.len(),
+            terminal,
+            burst,
+        }
     }
 
     /// Turns sampled path tracing on: every `sample`-th source emission
@@ -462,12 +566,16 @@ impl Router {
     /// crossing snapshots totals and rolls the bucket into the ring. The
     /// recorder is detached during the roll so the totals walk can borrow
     /// the graph; the detach is a `Box` pointer move, not a copy.
+    /// `ran` is `(span, did_work)` of the quantum, or `None` when no
+    /// task was runnable (the clock still rolls, no quantum is counted).
     #[inline]
-    fn interval_quantum(&mut self, span: u64, did_work: bool, now: u64) {
+    fn interval_quantum(&mut self, ran: Option<(u64, bool)>, now: u64) {
         let Some(mut rec) = self.interval.take() else {
             return;
         };
-        rec.quantum(span, did_work);
+        if let Some((span, did_work)) = ran {
+            rec.quantum(span, did_work);
+        }
         if rec.due(now) {
             let totals = self.interval_totals();
             rec.roll(now, &totals);
@@ -658,19 +766,28 @@ impl Router {
         self
     }
 
-    /// Runs until every active element reports idle for a full scheduler
-    /// cycle, or `max_quanta` quanta elapse. Returns the run statistics;
-    /// `RunStats::fused` distinguishes a blown fuse (quanta budget spent
-    /// with runnable work left) from a clean drain — a fuse-out is not a
-    /// verified drain and can mask livelock if read as one. `quanta` is
-    /// cumulative across calls; `fused` reflects only this call.
+    /// Runs until no task is runnable, or `max_quanta` quanta elapse.
+    /// Returns the run statistics; `RunStats::fused` distinguishes a
+    /// blown fuse (quanta budget spent with runnable work left) from a
+    /// clean drain — a fuse-out is not a verified drain and can mask
+    /// livelock if read as one. `quanta` is cumulative across calls;
+    /// `fused` reflects only this call.
+    ///
+    /// Idle tasks sleep instead of being polled: a task whose quantum
+    /// moved nothing, or left nothing behind (per the
+    /// [`crate::element::Element::has_pending`] hint of the element, or
+    /// of the queue for a drain), leaves the runnable set. Two things wake a task: a push into the
+    /// terminal queue of a drain's pull chain, and outside `&mut` access
+    /// to the graph ([`Router::graph_mut`], [`Router::element_as_mut`] —
+    /// e.g. a `FromDevice::inject`), after which every sleeping task
+    /// whose hint reports work is woken. So "idle" means every task is
+    /// asleep with nothing pending.
     pub fn run_until_idle(&mut self, max_quanta: u64) -> RunStats {
         self.stats.fused = false;
-        let mut consecutive_idle = 0usize;
-        loop {
-            if self.scheduler.is_empty() {
-                break;
-            }
+        if self.dirty {
+            self.wake_pending();
+        }
+        while self.scheduler.runnable() > 0 {
             if self.stats.quanta >= max_quanta {
                 self.stats.fused = true;
                 // A blown fuse is an operational anomaly worth a journal
@@ -680,22 +797,30 @@ impl Router {
                 }
                 break;
             }
-            let did_work = self.run_quantum();
-            if did_work {
-                consecutive_idle = 0;
-            } else {
-                consecutive_idle += 1;
-                if consecutive_idle >= self.scheduler.len() {
-                    break;
-                }
-            }
+            self.run_quantum();
         }
         self.stats()
     }
 
+    /// Wakes every task whose element (a source) or terminal pull
+    /// element (a drain) hints at pending work.
+    fn wake_pending(&mut self) {
+        self.dirty = false;
+        for (idx, task) in self.tasks.iter().enumerate() {
+            let probe = task.drain.map_or(task.element, |d| d.terminal);
+            if self.graph.element(probe).has_pending() {
+                self.scheduler.wake(idx);
+            }
+        }
+    }
+
     /// Runs exactly one scheduling quantum; returns `true` if the task did
-    /// useful work.
+    /// useful work. With no runnable task this returns `false` without
+    /// counting a quantum.
     pub fn run_quantum(&mut self) -> bool {
+        if self.dirty {
+            self.wake_pending();
+        }
         // Interval clock span: read even when cycle telemetry is off —
         // the disabled clock pays exactly one predictable branch here.
         let iv0 = if self.interval.is_some() {
@@ -703,180 +828,159 @@ impl Router {
         } else {
             0
         };
-        let Some(id) = self.scheduler.next() else {
+        let Some(idx) = self.scheduler.next() else {
             if self.interval.is_some() {
-                let now = cycles::now();
-                self.interval_quantum(now.wrapping_sub(iv0), false, now);
+                self.interval_quantum(None, cycles::now());
             }
             return false;
         };
         self.stats.quanta += 1;
         let q0 = self.tm_start();
-        let is_drain = {
-            let ports = self.graph.element(id).ports();
-            ports
-                .inputs
-                .first()
-                .is_some_and(|k| *k == crate::element::PortKind::Pull)
+        let task = self.tasks[idx];
+        let (did_work, more) = match task.drain {
+            Some(drain) => self.run_drain(task.element, drain),
+            None => self.run_source(task.element),
         };
-        let did_work = if is_drain {
-            self.run_drain(id)
-        } else {
-            let mut out = std::mem::take(&mut self.task_out);
-            let t0 = self.tm_start();
-            let tr0 = self.tr_start();
-            let did_work = self.graph.element_mut(id).run_task(&mut out);
-            let emitted = out.len() as u64;
-            if emitted > 0 {
-                // Attribute source work to the source's own row; idle
-                // polls are covered by the quantum's empty-poll counter.
-                self.tm_dispatch(id, emitted, t0);
-            }
-            // Source boundary: assign trace IDs to sampled emissions and
-            // open each traced packet's path with a span on the source.
-            self.tr_stamp_source(&mut out);
-            self.tr_dispatch(id, tr0);
-            self.stats.dropped_default += out.take_default_dropped();
-            self.route(id, &mut out);
-            self.task_out = out;
-            did_work
-        };
+        if !more {
+            self.scheduler.sleep(idx);
+        }
         if self.metrics.enabled() {
             let span = if self.metrics.cycles_on() {
                 cycles::now().wrapping_sub(q0)
             } else {
                 0
             };
-            self.metrics.record_quantum(span, did_work);
+            self.metrics.record_quantum(task.element, span, did_work);
         }
         if self.interval.is_some() {
             let now = cycles::now();
-            self.interval_quantum(now.wrapping_sub(iv0), did_work, now);
+            self.interval_quantum(Some((now.wrapping_sub(iv0), did_work)), now);
         }
         did_work
     }
 
-    /// Pulls one burst of packets into drain element `id` as a batch.
-    fn run_drain(&mut self, id: ElementId) -> bool {
-        // Unified `kp`: a drain follows the graph batch size unless the
-        // device carries an explicit per-device burst override.
-        let burst = self
-            .graph
-            .element(id)
-            .as_any()
-            .downcast_ref::<ToDevice>()
-            .map_or(self.batch_size, |dev| dev.pull_burst_or(self.batch_size));
-        let mut batch = self.take_batch();
-        let moved = self.resolve_pull_batch(id, 0, burst, &mut batch);
-        if moved == 0 {
-            self.recycle(batch);
-            return false;
-        }
+    /// Runs one quantum of source element `id`. Returns whether it
+    /// emitted anything and whether it should stay runnable.
+    fn run_source(&mut self, id: ElementId) -> (bool, bool) {
         let mut out = std::mem::take(&mut self.task_out);
-        if self.tracer.enabled() {
-            traced_ids(&batch, &mut self.trace_ids);
-        }
         let t0 = self.tm_start();
         let tr0 = self.tr_start();
-        self.graph
-            .element_mut(id)
-            .push_batch(0, &mut batch, &mut out);
-        self.tm_dispatch(id, moved as u64, t0);
+        let did_work = self.graph.element_mut(id).run_task(&mut out);
+        let emitted = out.len() as u64;
+        if emitted > 0 {
+            // Attribute source work to the source's own row; idle polls
+            // are covered by the quantum's empty-poll counter.
+            self.tm_dispatch(id, emitted, t0);
+        }
+        // Source boundary: assign trace IDs to sampled emissions and open
+        // each traced packet's path with a span on the source.
+        self.tr_stamp_source(&mut out);
         self.tr_dispatch(id, tr0);
-        self.stats.pushes += moved as u64;
-        self.stats.batch_calls += 1;
         self.stats.dropped_default += out.take_default_dropped();
-        self.recycle(batch);
         self.route(id, &mut out);
         self.task_out = out;
-        true
+        (did_work, did_work && self.graph.element(id).has_pending())
     }
 
-    /// Resolves the pull chain feeding `(to, to_port)`, moving up to
-    /// `max` packets into `into` and returning the count.
-    ///
-    /// A queue-like element (pull output, no pull input) terminates the
-    /// recursion with a bulk [`crate::element::Element::pull_batch`];
-    /// agnostic through-elements (e.g. `Counter` in a pull path) are
-    /// driven by pulling a batch from their upstream and applying their
-    /// push transform to the whole batch.
-    fn resolve_pull_batch(
-        &mut self,
-        to: ElementId,
-        to_port: usize,
-        max: usize,
-        into: &mut PacketBatch,
-    ) -> usize {
-        let Some(edge) = self.graph.edges_into(to, to_port).first().copied() else {
-            return 0;
-        };
-        let from_ports = self.graph.element(edge.from).ports();
-        let has_pull_input = from_ports
-            .inputs
-            .iter()
-            .any(|k| *k != crate::element::PortKind::Push);
-        if !has_pull_input || from_ports.inputs.is_empty() {
-            // Terminal pull source (Queue or similar): bulk drain.
+    /// Pulls one burst of packets into drain element `id` as a batch.
+    /// Returns whether it moved anything and whether it should stay
+    /// runnable (its terminal queue still holds packets).
+    fn run_drain(&mut self, id: ElementId, drain: Drain) -> (bool, bool) {
+        // Unified `kp`: a drain follows the graph batch size unless the
+        // device carries an explicit per-device burst override.
+        let burst = drain.burst.unwrap_or(self.batch_size);
+        let mut batch = self.take_batch();
+        let (pulled, moved) = self.pull_chain(drain, burst, &mut batch);
+        if moved > 0 {
+            let mut out = std::mem::take(&mut self.task_out);
+            if self.tracer.enabled() {
+                traced_ids(&batch, &mut self.trace_ids);
+            }
             let t0 = self.tm_start();
             let tr0 = self.tr_start();
-            let n = self
-                .graph
-                .element_mut(edge.from)
-                .pull_batch(edge.from_port, max, into);
-            if n > 0 {
-                self.tm_dispatch(edge.from, n as u64, t0);
-                if self.tracer.enabled() {
-                    // Only the packets this pull moved (the batch may
-                    // already hold earlier pulls).
-                    self.trace_ids.clear();
-                    for pkt in &into.as_slice()[into.len() - n..] {
-                        if pkt.meta.trace_id != 0 {
-                            self.trace_ids.push(pkt.meta.trace_id);
-                        }
-                    }
-                    self.tr_dispatch(edge.from, tr0);
-                }
-            }
-            return n;
+            self.graph
+                .element_mut(id)
+                .push_batch(0, &mut batch, &mut out);
+            self.tm_dispatch(id, moved as u64, t0);
+            self.tr_dispatch(id, tr0);
+            self.stats.pushes += moved as u64;
+            self.stats.batch_calls += 1;
+            self.stats.dropped_default += out.take_default_dropped();
+            self.route(id, &mut out);
+            self.task_out = out;
         }
-        // Through-element: pull a batch upstream, push it through.
-        let mut upstream = self.take_batch();
-        let n = self.resolve_pull_batch(edge.from, 0, max, &mut upstream);
-        if n == 0 {
-            self.recycle(upstream);
-            return 0;
+        self.recycle(batch);
+        let more = pulled > 0 && self.graph.element(drain.terminal).has_pending();
+        (moved > 0, more)
+    }
+
+    /// Moves up to `max` packets along `drain`'s pull chain into `into`
+    /// (empty on entry). Returns `(pulled, moved)`: packets taken from
+    /// the terminal, and packets that reached the drain.
+    ///
+    /// The terminal pull element fills the batch with one bulk
+    /// [`crate::element::Element::pull_batch`]; each agnostic through-element on the
+    /// way back (e.g. `Counter` in a pull path) then gets the whole
+    /// batch pushed through it, and only its emissions on the chain's
+    /// port continue — side-channel emissions (e.g. an error output)
+    /// are routed as ordinary pushes.
+    fn pull_chain(&mut self, drain: Drain, max: usize, into: &mut PacketBatch) -> (usize, usize) {
+        if drain.start == drain.end {
+            return (0, 0);
         }
-        let mut out = Output::new();
-        if self.tracer.enabled() {
-            traced_ids(&upstream, &mut self.trace_ids);
-        }
+        let edge = self.pull_edges[drain.end - 1];
         let t0 = self.tm_start();
         let tr0 = self.tr_start();
-        self.graph
+        let pulled = self
+            .graph
             .element_mut(edge.from)
-            .push_batch(0, &mut upstream, &mut out);
-        self.tm_dispatch(edge.from, n as u64, t0);
-        self.tr_dispatch(edge.from, tr0);
-        self.stats.pushes += n as u64;
-        self.stats.batch_calls += 1;
-        self.stats.dropped_default += out.take_default_dropped();
-        self.recycle(upstream);
-        let mut moved = 0;
-        let mut side = Output::new();
-        for (port, pkt) in out.drain() {
-            if port == edge.from_port {
-                into.push(pkt);
-                moved += 1;
-            } else {
-                side.push(port, pkt);
+            .pull_batch(edge.from_port, max, into);
+        if pulled > 0 {
+            self.tm_dispatch(edge.from, pulled as u64, t0);
+            if self.tracer.enabled() {
+                traced_ids(into, &mut self.trace_ids);
+                self.tr_dispatch(edge.from, tr0);
             }
         }
-        // Any side-channel emissions (e.g. an error output) are routed as
-        // ordinary pushes.
-        if !side.is_empty() {
-            self.route(edge.from, &mut side);
+        let mut moved = pulled;
+        for i in (drain.start..drain.end - 1).rev() {
+            if moved == 0 {
+                break;
+            }
+            let edge = self.pull_edges[i];
+            let through = edge.from;
+            let mut out = std::mem::take(&mut self.pull_out);
+            if self.tracer.enabled() {
+                traced_ids(into, &mut self.trace_ids);
+            }
+            let t0 = self.tm_start();
+            let tr0 = self.tr_start();
+            self.graph
+                .element_mut(through)
+                .push_batch(0, into, &mut out);
+            self.tm_dispatch(through, moved as u64, t0);
+            self.tr_dispatch(through, tr0);
+            self.stats.pushes += moved as u64;
+            self.stats.batch_calls += 1;
+            self.stats.dropped_default += out.take_default_dropped();
+            into.clear();
+            let mut side = std::mem::take(&mut self.pull_side);
+            moved = 0;
+            for (port, pkt) in out.drain() {
+                if port == edge.from_port {
+                    into.push(pkt);
+                    moved += 1;
+                } else {
+                    side.push(port, pkt);
+                }
+            }
+            self.pull_out = out;
+            if !side.is_empty() {
+                self.route(through, &mut side);
+            }
+            self.pull_side = side;
         }
-        moved
+        (pulled, moved)
     }
 
     /// Routes all packets in `out` (emitted by element `from`) along the
@@ -896,6 +1000,9 @@ impl Router {
             self.graph
                 .element_mut(id)
                 .push_batch(port, &mut batch, &mut self.scratch);
+            for &task in &self.waiters[id] {
+                self.scheduler.wake(task);
+            }
             self.tm_dispatch(id, n, t0);
             self.tr_dispatch(id, tr0);
             self.stats.pushes += n;
@@ -916,8 +1023,8 @@ impl Router {
             return;
         }
         // Per-port accumulation; elements have a handful of ports, so a
-        // linear scan beats a map.
-        let mut groups: Vec<(usize, PacketBatch)> = Vec::new();
+        // linear scan beats a map. The grouping buffer is reused.
+        let mut groups = std::mem::take(&mut self.groups);
         for (port, pkt) in out.drain() {
             match groups.iter_mut().find(|(p, _)| *p == port) {
                 Some((_, batch)) => batch.push(pkt),
@@ -928,7 +1035,7 @@ impl Router {
                 }
             }
         }
-        for (port, mut batch) in groups {
+        for (port, mut batch) in groups.drain(..) {
             let Some(edge) = self.graph.edge_from(from, port) else {
                 self.stats.leaked += batch.len() as u64;
                 self.recycle(batch);
@@ -951,6 +1058,7 @@ impl Router {
                 self.recycle(batch);
             }
         }
+        self.groups = groups;
     }
 
     /// Fetches a pooled batch buffer (or a fresh one).
@@ -1008,8 +1116,10 @@ impl Router {
     }
 
     /// Mutable access to the underlying graph (e.g. to inject frames into
-    /// a `FromDevice`).
+    /// a `FromDevice`). Sleeping tasks are re-asked for pending work
+    /// before the next quantum, so whatever is changed here is seen.
     pub fn graph_mut(&mut self) -> &mut Graph {
+        self.dirty = true;
         &mut self.graph
     }
 
@@ -1019,9 +1129,11 @@ impl Router {
         self.graph.element(id).as_any().downcast_ref::<T>()
     }
 
-    /// Mutable variant of [`Router::element_as`].
+    /// Mutable variant of [`Router::element_as`]; wakes like
+    /// [`Router::graph_mut`].
     pub fn element_as_mut<T: 'static>(&mut self, name: &str) -> Option<&mut T> {
         let id = self.graph.id_of(name)?;
+        self.dirty = true;
         self.graph.element_mut(id).as_any_mut().downcast_mut::<T>()
     }
 

@@ -429,6 +429,8 @@ mod tests {
             stages: vec![StageDelta {
                 packets: 10,
                 cycles: 50,
+                polls_work: 1,
+                polls_empty: 0,
             }],
             ..CumulativeTotals::default()
         };

@@ -75,6 +75,25 @@ pub fn render_with_events(
         "counter",
     ));
     out.push_str(&format!("rb_empty_polls_total {}\n", series.empty_polls()));
+    let totals = series.stage_totals();
+    if totals.iter().any(|d| d.polls_work + d.polls_empty > 0) {
+        out.push_str(&header(
+            "rb_task_polls_total",
+            "Driver quanta per scheduler task, by whether the quantum moved packets.",
+            "counter",
+        ));
+        for ((name, _), d) in series.stage_names.iter().zip(totals.iter()) {
+            if d.polls_work + d.polls_empty == 0 {
+                continue;
+            }
+            for (result, n) in [("work", d.polls_work), ("empty", d.polls_empty)] {
+                out.push_str(&format!(
+                    "rb_task_polls_total{{task=\"{}\",result=\"{result}\"}} {n}\n",
+                    esc(name)
+                ));
+            }
+        }
+    }
     let (credit, nic): (u64, u64) = series.intervals.iter().fold((0, 0), |(c, n), b| {
         (c + b.credit_stalls, n + b.nic_desc_stalls)
     });
@@ -108,7 +127,6 @@ pub fn render_with_events(
 
     // Per-stage families: the streaming twin of the bottleneck table.
     if !series.stage_names.is_empty() {
-        let totals = series.stage_totals();
         out.push_str(&header(
             "rb_stage_packets_total",
             "Packets dispatched through each element.",
@@ -391,10 +409,13 @@ mod tests {
                     crate::StageDelta {
                         packets: 100,
                         cycles: 900,
+                        polls_work: 4,
+                        polls_empty: 1,
                     },
                     crate::StageDelta {
                         packets: 100,
                         cycles: 100,
+                        ..crate::StageDelta::default()
                     },
                 ],
             });
@@ -438,6 +459,17 @@ mod tests {
             text.contains("rb_stage_cycle_share{element=\"rx\",class=\"FromDevice\"} 0.900000"),
             "{text}"
         );
+        // Per-task poll efficiency, summed over intervals; a stage that
+        // never ran as a task gets no series.
+        assert!(
+            text.contains("rb_task_polls_total{task=\"rx\",result=\"work\"} 12"),
+            "{text}"
+        );
+        assert!(
+            text.contains("rb_task_polls_total{task=\"rx\",result=\"empty\"} 3"),
+            "{text}"
+        );
+        assert!(!text.contains("rb_task_polls_total{task=\"tx\""), "{text}");
     }
 
     #[test]

@@ -628,10 +628,12 @@ mod tests {
             crate::StageDelta {
                 packets: 1000,
                 cycles: 3000,
+                ..crate::StageDelta::default()
             },
             crate::StageDelta {
                 packets: 1000,
                 cycles: 1000,
+                ..crate::StageDelta::default()
             },
         ];
         let names = vec![

@@ -18,6 +18,10 @@ struct StageAcc {
     cycles: u64,
     /// Per-dispatch cycle spans (only fed at [`TelemetryLevel::Cycles`]).
     lat: Log2Histogram,
+    /// Scheduler quanta this stage ran as a task, by whether the quantum
+    /// moved packets.
+    polls_work: u64,
+    polls_empty: u64,
 }
 
 /// One worker core's metric shard.
@@ -79,19 +83,24 @@ impl CoreMetrics {
         }
     }
 
-    /// Records one scheduler quantum: its cycle span and whether it did
-    /// useful work (idle polls are tracked separately so the paper's
-    /// empty-poll correction can be applied to end-to-end cycles).
+    /// Records one scheduler quantum of task `stage`: its cycle span and
+    /// whether it did useful work (idle polls are tracked separately so
+    /// the paper's empty-poll correction can be applied to end-to-end
+    /// cycles, and per task so poll efficiency is visible per element).
     #[inline]
-    pub fn record_quantum(&mut self, span: u64, did_work: bool) {
+    pub fn record_quantum(&mut self, stage: usize, span: u64, did_work: bool) {
         self.total_cycles += span;
-        if !did_work {
+        let acc = &mut self.stages[stage];
+        if did_work {
+            acc.polls_work += 1;
+        } else {
+            acc.polls_empty += 1;
             self.empty_polls += 1;
             self.empty_cycles += span;
         }
     }
 
-    /// Per-stage cumulative `(packets, cycles)` totals in stage-index
+    /// Per-stage cumulative `(packets, cycles, polls)` totals in stage-index
     /// order — the cheap boundary sample an interval recorder telescopes
     /// into per-stage [`crate::timeseries::StageDelta`] rows. Monotone
     /// non-decreasing over a run, so consecutive samples difference
@@ -102,6 +111,8 @@ impl CoreMetrics {
             .map(|acc| crate::timeseries::StageDelta {
                 packets: acc.packets,
                 cycles: acc.cycles,
+                polls_work: acc.polls_work,
+                polls_empty: acc.polls_empty,
             })
             .collect()
     }
@@ -122,6 +133,8 @@ impl CoreMetrics {
                     packets: acc.packets,
                     cycles: acc.cycles,
                     lat: acc.lat.clone(),
+                    polls_work: acc.polls_work,
+                    polls_empty: acc.polls_empty,
                 }
             })
             .collect();
@@ -154,6 +167,10 @@ pub struct StageStats {
     pub cycles: u64,
     /// Histogram of per-dispatch cycle spans.
     pub lat: Log2Histogram,
+    /// Scheduler quanta the element ran as a task that moved packets.
+    pub polls_work: u64,
+    /// Scheduler quanta the element ran as a task that moved nothing.
+    pub polls_empty: u64,
 }
 
 impl StageStats {
@@ -238,6 +255,8 @@ impl MetricsSnapshot {
                     mine.packets += row.packets;
                     mine.cycles += row.cycles;
                     mine.lat.merge(&row.lat);
+                    mine.polls_work += row.polls_work;
+                    mine.polls_empty += row.polls_empty;
                 }
                 None => self.stages.push(row.clone()),
             }
@@ -302,6 +321,22 @@ impl MetricsSnapshot {
             self.busy_cycles(),
             self.empty_polls
         ));
+        // Per-task poll efficiency: one entry per element that ran as a
+        // scheduler task.
+        let polls: Vec<String> = self
+            .stages
+            .iter()
+            .filter(|s| s.polls_work + s.polls_empty > 0)
+            .map(|s| {
+                format!(
+                    "{{\"task\": \"{}\", \"work\": {}, \"empty\": {}}}",
+                    json::esc(&s.name),
+                    s.polls_work,
+                    s.polls_empty
+                )
+            })
+            .collect();
+        out.push_str(&format!("  \"task_polls\": [{}],\n", polls.join(", ")));
         let (p50, p90, p99) = self.batch_sizes.percentiles().unwrap_or((0, 0, 0));
         out.push_str(&format!(
             "  \"batch_sizes\": {{\"count\": {}, \"p50\": {p50}, \"p90\": {p90}, \"p99\": {p99}}},\n",
@@ -346,8 +381,8 @@ mod tests {
         m.record_dispatch(0, 32, 640);
         m.record_dispatch(0, 32, 640);
         m.record_dispatch(1, 64, 64);
-        m.record_quantum(1500, true);
-        m.record_quantum(100, false);
+        m.record_quantum(0, 1500, true);
+        m.record_quantum(1, 100, false);
         let snap = m.snapshot(labeled);
         assert_eq!(snap.workers, 1);
         assert_eq!(snap.total_cycles, 1600);
@@ -361,6 +396,14 @@ mod tests {
         assert_eq!(snap.pipeline_packets(), 64);
         assert_eq!(snap.bottleneck().unwrap().name, "e0");
         assert_eq!(snap.batch_sizes.count(), 3);
+        assert_eq!(
+            (snap.stages[0].polls_work, snap.stages[0].polls_empty),
+            (1, 0)
+        );
+        assert_eq!(
+            (snap.stages[1].polls_work, snap.stages[1].polls_empty),
+            (0, 1)
+        );
     }
 
     #[test]
@@ -432,9 +475,17 @@ mod tests {
         let mut m = CoreMetrics::new(TelemetryLevel::Cycles, 2);
         m.record_dispatch(0, 32, 320);
         m.record_dispatch(1, 32, 3200);
-        m.record_quantum(4000, true);
+        m.record_quantum(0, 4000, true);
+        m.record_quantum(0, 40, false);
+        m.record_quantum(0, 40, false);
         let snap = m.snapshot(labeled);
         let doc = crate::json::parse(&snap.to_json()).expect("snapshot JSON must parse");
+        let polls = doc.get("task_polls").unwrap().as_array().unwrap();
+        assert_eq!(polls.len(), 1, "only stages that ran as tasks");
+        assert_eq!(polls[0].get("task").unwrap().as_str(), Some("e0"));
+        assert_eq!(polls[0].get("work").unwrap().as_f64(), Some(1.0));
+        assert_eq!(polls[0].get("empty").unwrap().as_f64(), Some(2.0));
+        assert_eq!(doc.get("empty_polls").unwrap().as_f64(), Some(2.0));
         assert_eq!(doc.get("level").unwrap().as_str(), Some("cycles"));
         let stages = doc.get("stages").unwrap().as_array().unwrap();
         assert_eq!(stages.len(), 2);
@@ -457,7 +508,7 @@ mod tests {
         for stage in 0..3 {
             m.record_dispatch(stage, 100, 1000 * (stage as u64 + 1));
         }
-        m.record_quantum(6000, true);
+        m.record_quantum(0, 6000, true);
         let snap = m.snapshot(labeled);
         let sum = snap.stage_cpp_sum();
         let e2e = snap.end_to_end_cpp(100);

@@ -45,6 +45,33 @@ pub struct StageDelta {
     /// Cycles spent inside the stage this interval (0 when the
     /// telemetry level does not measure cycles).
     pub cycles: u64,
+    /// Scheduler quanta the stage ran as a task and moved packets.
+    pub polls_work: u64,
+    /// Scheduler quanta the stage ran as a task and moved nothing.
+    pub polls_empty: u64,
+}
+
+impl StageDelta {
+    /// Ring words one stage row occupies.
+    const WORDS: usize = 4;
+
+    /// Adds `other`'s counters into this row.
+    pub fn add(&mut self, other: &StageDelta) {
+        self.packets += other.packets;
+        self.cycles += other.cycles;
+        self.polls_work += other.polls_work;
+        self.polls_empty += other.polls_empty;
+    }
+
+    /// The counters accrued since the cumulative sample `base`.
+    pub fn since(&self, base: &StageDelta) -> StageDelta {
+        StageDelta {
+            packets: self.packets.saturating_sub(base.packets),
+            cycles: self.cycles.saturating_sub(base.cycles),
+            polls_work: self.polls_work.saturating_sub(base.polls_work),
+            polls_empty: self.polls_empty.saturating_sub(base.polls_empty),
+        }
+    }
 }
 
 /// One closed interval of one core's activity.
@@ -178,8 +205,7 @@ impl IntervalStats {
                 .resize(other.stages.len(), StageDelta::default());
         }
         for (a, b) in self.stages.iter_mut().zip(other.stages.iter()) {
-            a.packets += b.packets;
-            a.cycles += b.cycles;
+            a.add(b);
         }
     }
 }
@@ -198,12 +224,13 @@ const W_CREDIT: usize = 9;
 const W_NIC: usize = 10;
 const W_DROPS: usize = 11;
 const W_HIST: usize = W_DROPS + DropCause::COUNT;
-/// First per-stage word; each tracked stage takes two words
-/// (packets, cycles) after the histogram block.
+/// First per-stage word; each tracked stage takes `StageDelta::WORDS`
+/// words (packets, cycles, work polls, empty polls) after the histogram
+/// block.
 const W_STAGES: usize = W_HIST + Log2Histogram::NUM_BUCKETS;
 
 /// One seqlock-protected slot: a version word plus the flattened bucket.
-/// The word count is fixed per ring (base words plus two per tracked
+/// The word count is fixed per ring (base words plus four per tracked
 /// stage), so slots stay flat atomics with no per-publish allocation.
 struct Slot {
     /// Even = stable, odd = writer mid-publish.
@@ -259,7 +286,7 @@ impl IntervalRing {
     /// label.
     pub fn with_stages(core: usize, cap: usize, labels: Vec<(String, String)>) -> IntervalRing {
         let cap = cap.max(2);
-        let words = W_STAGES + 2 * labels.len();
+        let words = W_STAGES + StageDelta::WORDS * labels.len();
         IntervalRing {
             core,
             cap,
@@ -320,8 +347,11 @@ impl IntervalRing {
         }
         for i in 0..self.labels.len() {
             let d = b.stages.get(i).copied().unwrap_or_default();
-            w(W_STAGES + 2 * i, d.packets);
-            w(W_STAGES + 2 * i + 1, d.cycles);
+            let at = W_STAGES + StageDelta::WORDS * i;
+            w(at, d.packets);
+            w(at + 1, d.cycles);
+            w(at + 2, d.polls_work);
+            w(at + 3, d.polls_empty);
         }
         slot.version.store(v.wrapping_add(2), Ordering::Release);
         self.head.store(b.seq + 1, Ordering::Release);
@@ -350,9 +380,14 @@ impl IntervalRing {
                 *c = r(W_HIST + i);
             }
             let stages = (0..self.labels.len())
-                .map(|i| StageDelta {
-                    packets: r(W_STAGES + 2 * i),
-                    cycles: r(W_STAGES + 2 * i + 1),
+                .map(|i| {
+                    let at = W_STAGES + StageDelta::WORDS * i;
+                    StageDelta {
+                        packets: r(at),
+                        cycles: r(at + 1),
+                        polls_work: r(at + 2),
+                        polls_empty: r(at + 3),
+                    }
                 })
                 .collect();
             let out = IntervalStats {
@@ -414,8 +449,8 @@ pub struct CumulativeTotals {
     pub credit_stalls: u64,
     /// NIC descriptor stalls so far.
     pub nic_desc_stalls: u64,
-    /// Per-stage cumulative `(packets, cycles)` in graph order (empty
-    /// when the recorder tracks no stages).
+    /// Per-stage cumulative counters in graph order (empty when the
+    /// recorder tracks no stages).
     pub stages: Vec<StageDelta>,
 }
 
@@ -555,8 +590,7 @@ impl IntervalRecorder {
         for (i, row) in b.stages.iter_mut().enumerate() {
             let cur = totals.stages.get(i).copied().unwrap_or_default();
             let prev = self.base.stages.get(i).copied().unwrap_or_default();
-            row.packets = cur.packets.saturating_sub(prev.packets);
-            row.cycles = cur.cycles.saturating_sub(prev.cycles);
+            *row = cur.since(&prev);
         }
         self.ring.publish(b);
         self.base = totals.clone();
@@ -715,8 +749,7 @@ impl TimeSeries {
                 totals.resize(b.stages.len(), StageDelta::default());
             }
             for (acc, d) in totals.iter_mut().zip(b.stages.iter()) {
-                acc.packets += d.packets;
-                acc.cycles += d.cycles;
+                acc.add(d);
             }
         }
         totals
@@ -790,8 +823,8 @@ impl TimeSeries {
                     stages.push_str(", ");
                 }
                 stages.push_str(&format!(
-                    "{{\"packets\": {}, \"cycles\": {}}}",
-                    d.packets, d.cycles
+                    "{{\"packets\": {}, \"cycles\": {}, \"polls_work\": {}, \"polls_empty\": {}}}",
+                    d.packets, d.cycles, d.polls_work, d.polls_empty
                 ));
             }
             out.push_str(&format!(
@@ -1035,10 +1068,13 @@ mod tests {
                 StageDelta {
                     packets: 10,
                     cycles: 100,
+                    polls_work: 1,
+                    polls_empty: 2,
                 },
                 StageDelta {
                     packets: 10,
                     cycles: 900,
+                    ..StageDelta::default()
                 },
             ],
             ..CumulativeTotals::default()
@@ -1051,6 +1087,8 @@ mod tests {
         t2.stages[0].cycles = 260;
         t2.stages[1].packets = 25;
         t2.stages[1].cycles = 2000;
+        t2.stages[0].polls_work = 4;
+        t2.stages[0].polls_empty = 7;
         rec.quantum(3, true);
         rec.roll(200, &t2);
         let (_, got) = ring.harvest(0);
@@ -1060,6 +1098,9 @@ mod tests {
         assert_eq!(got[1].stages[0].packets, 15, "second bucket is the delta");
         assert_eq!(got[1].stages[0].cycles, 160);
         assert_eq!(got[1].stages[1].cycles, 1100);
+        assert_eq!(got[0].stages[0].polls_empty, 2);
+        assert_eq!(got[1].stages[0].polls_work, 3);
+        assert_eq!(got[1].stages[0].polls_empty, 5);
         // Telescoping: summed stage rows equal the final totals.
         let mut h = Harvester::new(vec![ring]);
         h.poll(false);
@@ -1068,6 +1109,16 @@ mod tests {
         let totals = series.stage_totals();
         assert_eq!(totals[0].packets, 25);
         assert_eq!(totals[1].cycles, 2000);
+        assert_eq!((totals[0].polls_work, totals[0].polls_empty), (4, 7));
+        // The JSON export carries the per-task polls of every bucket.
+        let doc = json::parse(&series.to_json(1e9)).expect("series JSON parses");
+        let rows = doc.get("intervals").unwrap().as_array().unwrap()[1]
+            .get("stages")
+            .unwrap()
+            .as_array()
+            .unwrap();
+        assert_eq!(rows[0].get("polls_work").unwrap().as_f64(), Some(3.0));
+        assert_eq!(rows[0].get("polls_empty").unwrap().as_f64(), Some(5.0));
     }
 
     proptest::proptest! {
@@ -1098,6 +1149,8 @@ mod tests {
             for (p0, c0, p1, c1, roll) in steps.iter().copied() {
                 cum.stages[0].packets += p0;
                 cum.stages[0].cycles += c0;
+                cum.stages[0].polls_work += u64::from(p0 > 0);
+                cum.stages[0].polls_empty += u64::from(p0 == 0);
                 cum.stages[1].packets += p1;
                 cum.stages[1].cycles += c1;
                 cum.sourced += p0;

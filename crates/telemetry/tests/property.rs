@@ -103,7 +103,7 @@ proptest! {
             for &(stage, pkts, cyc) in events {
                 m.record_dispatch(stage, pkts, cyc);
             }
-            m.record_quantum(events.iter().map(|e| e.2).sum(), !events.is_empty());
+            m.record_quantum(0, events.iter().map(|e| e.2).sum(), !events.is_empty());
             m.snapshot(|i| (format!("e{i}"), format!("C{i}")))
         };
         let (s0, s1, s2) = (build(&shards[0]), build(&shards[1]), build(&shards[2]));

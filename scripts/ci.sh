@@ -32,6 +32,9 @@ if [ "$quick" != "quick" ]; then
     echo "==> cargo build --release"
     cargo build --release
 
+    echo "==> perfbench tests (repository benchmark: smoke runs and its own checks)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "==> bench smoke (harness + BENCH_dataplane.json schema)"
     ./scripts/bench.sh smoke
 
